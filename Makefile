@@ -1,10 +1,14 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos bench-fast bench bench-full perf-budget coverage trace check check-sweep
+.PHONY: test perfbench-test chaos bench-fast bench bench-full perf-budget coverage trace check check-sweep
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The benchmark harness's own tests (perfbench/: workloads, oracles, CLI).
+perfbench-test:
+	$(PYTHON) -m pytest perfbench -q
 
 # Coverage gate (needs the `cov` extra: pip install -e '.[test,cov]').
 # The floor only ratchets up: raise it when coverage rises, never lower it.
@@ -35,8 +39,9 @@ bench:
 bench-full:
 	$(PYTHON) -m repro.bench --full
 
-# Throughput gate: the latest `make bench` run's aggregate fast-suite
-# events/s must stay within 20% of benchmarks/perf_floor.json.
+# Speed gate: the latest `make bench` run's aggregate fast-suite
+# simulated ns per host second must stay within 20% of
+# benchmarks/perf_floor.json.
 # Re-baseline an intended change with:
 #   python -m repro.bench.budget <BENCH.json> --label bench --write-floor
 perf-budget:

@@ -1,8 +1,8 @@
-"""Perf-budget gate: fail CI when engine throughput regresses.
+"""Perf-budget gate: fail CI when fast-suite host speed regresses.
 
 ``benchmarks/perf_floor.json`` commits the aggregate fast-suite
-``events_per_sec`` the flat engine sustained when the floor was last
-recorded.  This module reads a ``BENCH_<date>.json`` trajectory (as
+``sim_ns_per_sec`` (simulated nanoseconds per host second) the default
+engine sustained when the floor was last recorded.  This module reads a ``BENCH_<date>.json`` trajectory (as
 written by ``python -m repro.bench --perf-json``), aggregates the most
 recent run's fast-mode figure records, and exits non-zero when the
 measured rate falls more than ``--slack`` (default 20%) below the floor.
@@ -11,9 +11,12 @@ measured rate falls more than ``--slack`` (default 20%) below the floor.
     python -m repro.bench.budget BENCH.json --floor benchmarks/perf_floor.json
     python -m repro.bench.budget BENCH.json --label bench-fast --slack 0.2
 
-Aggregate rate = sum(events_dispatched) / sum(wall_s) over the run's
-fast-mode records, so long figures weigh in proportionally instead of
-each figure voting once.  Records tagged ``"profiled"`` carry cProfile
+Aggregate rate = sum(sim_ns) / sum(wall_s) over the run's fast-mode
+records, so long figures weigh in proportionally instead of each figure
+voting once.  The fast suite simulates a fixed span, so this ratio is
+inverse wall time: a change that dispatches fewer events for the same
+simulation reads as the speed-up it is (events/s would read it as a
+slowdown).  Records tagged ``"profiled"`` carry cProfile
 overhead and are excluded.  To re-baseline after an intentional change,
 rerun the fast suite on a quiet machine and update the floor file with
 the new aggregate (``--write-floor`` does this).
@@ -32,25 +35,25 @@ DEFAULT_SLACK = 0.2
 
 
 def aggregate_rate(run):
-    """Sum-of-events over sum-of-wall for a run's clean fast records.
+    """Sum of simulated ns over sum of wall for a run's clean fast records.
 
     Returns ``(rate, n_records)``; ``(None, 0)`` when the run holds no
     usable fast-mode records (all full-mode, profiled, or zero wall).
     """
-    events = 0
+    sim_ns = 0
     wall = 0.0
     used = 0
     for record in run.get("figures", []):
         if record.get("mode") != "fast" or record.get("profiled"):
             continue
-        if not record.get("wall_s") or record.get("events_dispatched") is None:
+        if not record.get("wall_s") or record.get("sim_ns") is None:
             continue
-        events += record["events_dispatched"]
+        sim_ns += record["sim_ns"]
         wall += record["wall_s"]
         used += 1
     if not used or wall <= 0:
         return None, 0
-    return events / wall, used
+    return sim_ns / wall, used
 
 
 def select_run(data, label=None):
@@ -63,7 +66,7 @@ def select_run(data, label=None):
 
 def load_floor(path):
     data = json.loads(pathlib.Path(path).read_text())
-    if "fast_suite_events_per_sec" not in data:
+    if "fast_suite_sim_ns_per_sec" not in data:
         raise ValueError(f"{path} is not a perf floor file")
     return data
 
@@ -71,7 +74,7 @@ def load_floor(path):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.budget",
-        description="Gate on fast-suite engine throughput vs the committed floor.",
+        description="Gate on fast-suite simulated ns per host second vs the committed floor.",
     )
     parser.add_argument("trajectory", help="BENCH_<date>.json trajectory file")
     parser.add_argument(
@@ -107,29 +110,29 @@ def main(argv=None):
     if args.write_floor:
         floor_doc = {
             "schema": 1,
-            "fast_suite_events_per_sec": round(rate),
+            "fast_suite_sim_ns_per_sec": round(rate),
             "records_aggregated": used,
             "recorded": time.strftime("%Y-%m-%d"),
             "source": str(args.trajectory),
-            "note": "aggregate events/s over the fast figure suite; "
-                    "gate fails below (1 - slack) * floor, slack 0.2",
+            "note": "aggregate simulated ns per host second over the fast "
+                    "figure suite; gate fails below (1 - slack) * floor, slack 0.2",
         }
         pathlib.Path(args.floor).write_text(json.dumps(floor_doc, indent=2) + "\n")
-        print(f"perf-budget: floor re-baselined to {round(rate):,} events/s "
+        print(f"perf-budget: floor re-baselined to {round(rate):,} sim-ns/s "
               f"({used} records) in {args.floor}")
         return 0
 
-    floor = load_floor(args.floor)["fast_suite_events_per_sec"]
+    floor = load_floor(args.floor)["fast_suite_sim_ns_per_sec"]
     cutoff = floor * (1.0 - args.slack)
     verdict = "OK" if rate >= cutoff else "FAIL"
     print(
-        f"perf-budget: {rate:,.0f} events/s over {used} fast records "
+        f"perf-budget: {rate:,.0f} sim-ns/s over {used} fast records "
         f"(floor {floor:,} - {args.slack:.0%} slack = cutoff {cutoff:,.0f}) "
         f"{verdict}"
     )
     if rate < cutoff:
         print(
-            "perf-budget: fast-suite throughput regressed past the budget; "
+            "perf-budget: fast-suite host speed regressed past the budget; "
             "investigate before merging (or re-baseline the floor with "
             "--write-floor if the regression is intended and justified)",
             file=sys.stderr,

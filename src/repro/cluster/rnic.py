@@ -99,6 +99,12 @@ class Rnic:
         if _metrics.METRICS is not None:
             _metrics.METRICS.counter("rnic.cq_poll_busy_ns").inc(int(spent_ns))
 
+    def _release(self, resource, grant, label, start):
+        """Hand an engine back and report its busy interval to the checker."""
+        resource.release(grant)
+        if _check.CHECKER is not None:
+            _check.CHECKER.rnic_busy(self, label, resource, start, self.sim.now)
+
     def command(self, service_ns):
         """Process: occupy the command processor for ``service_ns``."""
         limit = self.command_queue_limit
@@ -126,12 +132,12 @@ class Rnic:
             )
         try:
             yield int(service_ns)
-        finally:
-            resource.release(grant)
-            if _check.CHECKER is not None:
-                _check.CHECKER.rnic_busy(
-                    self, "command", resource, start, self.sim.now
-                )
+        except GeneratorExit:
+            raise  # a dropped simulation: see Resource
+        except BaseException:
+            self._release(resource, grant, "command", start)
+            raise
+        self._release(resource, grant, "command", start)
         if _trace.TRACER is not None:
             _trace.TRACER.end(self.sim.now, f"rnic@{self.node.gid}", "rnic.command")
         if _metrics.METRICS is not None:
@@ -156,12 +162,12 @@ class Rnic:
             )
         try:
             yield int(duration_ns)
-        finally:
-            resource.release(grant)
-            if _check.CHECKER is not None:
-                _check.CHECKER.rnic_busy(
-                    self, f"stall:{engine}", resource, start, self.sim.now
-                )
+        except GeneratorExit:
+            raise  # a dropped simulation: see Resource
+        except BaseException:
+            self._release(resource, grant, f"stall:{engine}", start)
+            raise
+        self._release(resource, grant, f"stall:{engine}", start)
         if _trace.TRACER is not None:
             _trace.TRACER.end(self.sim.now, f"rnic@{self.node.gid}", "rnic.stall")
         if _metrics.METRICS is not None:
@@ -188,12 +194,12 @@ class Rnic:
             )
         try:
             yield whole
-        finally:
-            resource.release(grant)
-            if _check.CHECKER is not None:
-                _check.CHECKER.rnic_busy(
-                    self, "inbound", resource, start, self.sim.now
-                )
+        except GeneratorExit:
+            raise  # a dropped simulation: see Resource
+        except BaseException:
+            self._release(resource, grant, "inbound", start)
+            raise
+        self._release(resource, grant, "inbound", start)
         if _trace.TRACER is not None:
             _trace.TRACER.end(self.sim.now, f"rnic@{self.node.gid}", "rnic.inbound")
         if _metrics.METRICS is not None:

@@ -728,12 +728,11 @@ class KrcoreModule:
             while len(queue):
                 msg = queue.popleft()
                 self._release_slot(msg)
-                self.sim.process(
-                    self._handle_kernel_msg(msg["header"]),
-                    name=f"krcore-kmsg@{self.node.gid}",
-                )
+                self._handle_kernel_msg(msg["header"])
 
     def _handle_kernel_msg(self, header):
+        """Apply one kernel message in place; only a transfer, which has
+        to wait on the network, gets a process of its own."""
         kind = header.get("type")
         if kind == "publish_mr":
             if self._local_shard is None:
@@ -746,15 +745,16 @@ class KrcoreModule:
                 raise KrcoreError("retract_mr sent to a non-meta node")
             self._local_shard.retract_mr(header["gid"], header["rkey"])
         elif kind == "transfer":
-            yield from self._handle_peer_transfer(header)
-            return
+            self.sim.process(
+                self._handle_peer_transfer(header),
+                name=f"krcore-kmsg@{self.node.gid}",
+            )
         elif kind == "transfer_ack":
             event = self._transfer_acks.pop(
                 (header["src_gid"], header["to_vqp"]), None
             )
             if event is not None and not event.triggered:
                 event.trigger(None)
-        yield 0  # all handlers are processes
 
     #: How long to wait for a transfer acknowledgment before concluding
     #: the peer is gone (no reply can ever arrive from a dead node).

@@ -222,7 +222,7 @@ class Process:
         "sim", "name", "_gen", "_send", "_throw", "_done", "_interrupts", "_wait_gen",
     )
 
-    def __init__(self, sim, gen, name=None):
+    def __init__(self, sim, gen, name=None, now=False):
         self.sim = sim
         self.name = name or getattr(gen, "__name__", "process")
         self._gen = gen
@@ -231,8 +231,11 @@ class Process:
         self._done = Event(sim)
         self._interrupts = None  # lazily a deque: most processes never see one
         self._wait_gen = 0
-        sim._seq += 1
-        sim._ready.append((sim._seq, self._start, None))
+        if now:
+            self._resume(None, None)
+        else:
+            sim._seq += 1
+            sim._ready.append((sim._seq, self._start, None))
 
     def _start(self):
         self._resume(None, None)
@@ -353,7 +356,6 @@ class Simulator:
         self._heap = []
         self._ready = deque()
         self._seq = 0
-        self._current = None
         self._orphan_failures = deque()
         #: Optional schedule controller (repro.check): when set, run()
         #: delegates to it so same-timestamp dispatch order can be
@@ -385,9 +387,6 @@ class Simulator:
         self._seq += 1
         self._ready.append((self._seq, callback, arg))
 
-    def _schedule_now(self, callback):
-        self._schedule_call(callback, None)
-
     def timeout(self, delay, value=None):
         """An event that triggers after ``delay`` nanoseconds."""
         event = Event(self)
@@ -397,11 +396,13 @@ class Simulator:
     def event(self):
         return Event(self)
 
-    def process(self, gen, name=None):
-        """Start ``gen`` (a generator) as a simulated process."""
+    def process(self, gen, name=None, now=False):
+        """Start ``gen`` (a generator) as a simulated process.  ``now=True``
+        runs it to its first yield before returning (one dispatch less; the
+        caller's remaining work then follows that first step)."""
         if not hasattr(gen, "send"):
             raise SimulationError("process() expects a generator")
-        return Process(self, gen, name=name)
+        return Process(self, gen, name=name, now=now)
 
     # -- awaitable coercion --------------------------------------------------
 

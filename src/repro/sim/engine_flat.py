@@ -152,7 +152,7 @@ class Process:
         "sim", "name", "_gen", "_send", "_throw", "_done", "_interrupts", "_wait_gen",
     )
 
-    def __init__(self, sim, gen, name=None):
+    def __init__(self, sim, gen, name=None, now=False):
         self.sim = sim
         self.name = name or getattr(gen, "__name__", "process")
         self._gen = gen
@@ -161,9 +161,12 @@ class Process:
         self._done = Event(sim)
         self._interrupts = None  # lazily a deque: most processes never see one
         self._wait_gen = 0
-        slab = sim._rbuf
-        slab.append(self._start)
-        slab.append(None)
+        if now:
+            self._resume(None, None)
+        else:
+            slab = sim._rbuf
+            slab.append(self._start)
+            slab.append(None)
 
     def _start(self):
         self._resume(None, None)
@@ -302,7 +305,6 @@ class Simulator:
         #: dispatch raises mid-timestamp so a later run() resumes exactly.
         self._cohort = None
         self._cpos = 0
-        self._current = None
         self._orphan_failures = deque()
         #: Optional schedule controller (repro.check): when set, run()
         #: delegates to it so same-timestamp dispatch order can be
@@ -337,11 +339,6 @@ class Simulator:
         slab.append(callback)
         slab.append(arg)
 
-    def _schedule_now(self, callback):
-        slab = self._rbuf
-        slab.append(callback)
-        slab.append(None)
-
     def timeout(self, delay, value=None):
         """An event that triggers after ``delay`` nanoseconds."""
         event = Event(self)
@@ -351,11 +348,13 @@ class Simulator:
     def event(self):
         return Event(self)
 
-    def process(self, gen, name=None):
-        """Start ``gen`` (a generator) as a simulated process."""
+    def process(self, gen, name=None, now=False):
+        """Start ``gen`` (a generator) as a simulated process.  ``now=True``
+        runs it to its first yield before returning (one dispatch less; the
+        caller's remaining work then follows that first step)."""
         if not hasattr(gen, "send"):
             raise SimulationError("process() expects a generator")
-        return Process(self, gen, name=name)
+        return Process(self, gen, name=name, now=now)
 
     # -- awaitable coercion --------------------------------------------------
 

@@ -30,7 +30,6 @@ from repro.cluster import timing
 from repro.cluster.memory import MemoryError_
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.sim import Store
 from repro.verbs.cq import Completion
 from repro.verbs.errors import QpError, QpOverflowError, VerbsError
 from repro.verbs.types import POSTABLE_OPCODES, Opcode, QpState, QpType, WcStatus
@@ -96,7 +95,8 @@ class QueuePair:
         self.qpn = node.rnic.register_qp(self)
         self.state = QpState.RESET
         self.remote = None  # (gid, qpn) once RC-connected
-        self._sq = Store(self.sim)
+        self._sq = deque()  # posted WRs the NIC has not picked up yet
+        self._issuing = None  # the WR paying its NIC issue cost, if any
         self._posted = 0
         self._reclaimed = 0
         self._pending_unsignaled = 0
@@ -108,7 +108,6 @@ class QueuePair:
         self._dc_lcg = self.qpn * 2654435761 % (1 << 64) or 1
         self.stats_reconnects = 0
         self._flight_name = f"qp{self.qpn}-flight"
-        self.sim.process(self._sender_loop(), name=f"qp{self.qpn}-sender")
 
     # ------------------------------------------------------------------ state
 
@@ -148,10 +147,7 @@ class QueuePair:
         self._trace_state()
         self.remote = None
         self._dc_current = None
-        while True:
-            stale = self._sq.try_get()
-            if stale is None:
-                break
+        self._sq.clear()
         self._posted = self._reclaimed = 0
         self._pending_unsignaled = 0
 
@@ -220,8 +216,9 @@ class QueuePair:
         registry = _metrics.METRICS
         if registry is not None:
             registry.counter("verbs.wr_posted").inc(len(wrs))
-        for wr in wrs:
-            self._sq.put(wr)
+        self._sq.extend(wrs)
+        if self._issuing is None:
+            self._issue()
 
     def post_send_batch(self, wr_list):
         """Post a WR chain with one doorbell (KRCORE §4.3 doorbell batching).
@@ -256,24 +253,37 @@ class QueuePair:
 
     # ------------------------------------------------------------- NIC side
 
-    def _sender_loop(self):
-        """The NIC's per-QP work-queue processor: issues WRs in order."""
-        while True:
-            wr = yield self._sq.get()
-            if self.state is QpState.ERR:
-                self._complete(wr, WcStatus.FLUSH_ERR)
-                continue
-            if self.qp_type is QpType.DC:
-                yield from self._dc_retarget(wr)
-            # A chained WQE rides the doorbell of its chain head: the NIC
-            # already has the chain, so issue is a cheap descriptor fetch.
-            yield timing.NIC_TX_CHAINED_NS if wr.chained else timing.NIC_TX_NS
-            done = self.sim.event()
-            prev, self._last_done = self._last_done, done
-            self.sim.process(self._flight(wr, prev, done), name=self._flight_name)
+    def _issue(self):
+        """The NIC's per-QP work-queue processor: issue the head WR.
+
+        Issue is one scheduled callback per WR, not a process: the WR
+        pays its DC retarget (if any) plus its issue cost, then
+        :meth:`_issued` runs its flight up to the wire and issues the
+        next one, so WRs leave the queue in posting order, one at a
+        time.  A WR queued behind an error never gets here:
+        ``_enter_error`` flushes the queue.
+        """
+        wr = self._sq.popleft()
+        delay = self._dc_retarget(wr) if self.qp_type is QpType.DC else 0
+        # A chained WQE rides the doorbell of its chain head: the NIC
+        # already has the chain, so issue is a cheap descriptor fetch.
+        delay += timing.NIC_TX_CHAINED_NS if wr.chained else timing.NIC_TX_NS
+        self._issuing = wr
+        self.sim.schedule(delay, self._issued)
+
+    def _issued(self):
+        wr = self._issuing
+        done = self.sim.event()
+        prev, self._last_done = self._last_done, done
+        flight = self._flight(wr, prev, done)
+        self.sim.process(flight, name=self._flight_name, now=True)
+        self._issuing = None
+        if self._sq:
+            self._issue()
 
     def _dc_retarget(self, wr):
-        """Hardware-offloaded DCT (re)connection before issuing ``wr``.
+        """Hardware-offloaded DCT (re)connection before issuing ``wr``;
+        returns its delay (0 when the QP already targets the DCT).
 
         A small deterministic fraction of reconnections (one in
         DCT_RECONNECT_TAIL_EVERY, drawn from a per-QP LCG so it is
@@ -282,7 +292,7 @@ class QueuePair:
         """
         target = (wr.dct_gid, wr.dct_number)
         if target == self._dc_current:
-            return
+            return 0
         self._dc_current = target
         self._dc_retargets += 1
         self.stats_reconnects += 1
@@ -300,17 +310,19 @@ class QueuePair:
         self._dc_lcg = (self._dc_lcg * 6364136223846793005 + 1442695040888963407) % (1 << 64)
         if (self._dc_lcg >> 33) % timing.DCT_RECONNECT_TAIL_EVERY == 0:
             delay += timing.DCT_RECONNECT_TAIL_NS
-        yield delay
+        return delay
 
     def _flight(self, wr, prev_done, done):
         """One WR's life on the network, ending with in-order completion.
 
-        The READ/WRITE path inlines ``_fetch_local``/``_remote_gid``/
-        ``_resolve_remote``/``_execute_remote``/``Rnic.serve_inbound``:
-        this generator is resumed for every hop of every WR, and each
-        nested ``yield from`` frame is traversed on every resume.  The
-        yield sequence and error mapping are identical to the helpers,
-        which remain for the other opcodes.
+        The READ/WRITE responder path is inlined here (with
+        ``Rnic.serve_inbound``'s accounting) rather than left to
+        ``_execute_remote``: this generator is resumed for every hop of
+        every WR, and each nested ``yield from`` frame is traversed on
+        every resume.  It also saves scheduler hops: an idle inbound
+        engine is taken with ``try_acquire`` instead of an event round
+        trip, and the response's wire time and the RX completion cost are
+        one delay (so are the NAK paths').
 
         The attempt loop is the retransmission machinery: a lost packet or
         unreachable responder burns one ``timeout_ns`` wait per retry; an
@@ -334,7 +346,7 @@ class QueuePair:
                 length = wr.length
                 if opcode not in POSTABLE_OPCODES:
                     raise _Malformed(WcStatus.BAD_OPCODE_ERR)
-                # -- local SGE validation (_fetch_local) --
+                # -- local SGE validation --
                 if length == 0 and opcode is Opcode.SEND:
                     payload = b""
                 else:
@@ -346,7 +358,7 @@ class QueuePair:
                         payload = node.memory.read(wr.laddr, length)
                     else:
                         payload = None
-                # -- remote addressing (_remote_gid) --
+                # -- remote addressing: RC per QP, UD/DC per WR --
                 if qp_type is QpType.RC:
                     if self.remote is None:
                         raise _Malformed(WcStatus.RETRY_EXC_ERR)
@@ -390,7 +402,7 @@ class QueuePair:
                     else:
                         self._req_arrival_clock = arrival
                 yield wire_out
-                # -- remote lookup (_resolve_remote) --
+                # -- remote lookup --
                 if not fabric.has_node(remote_gid):
                     if qp_type is QpType.UD:
                         raise _UdDrop()
@@ -418,16 +430,23 @@ class QueuePair:
                     whole = int(total)
                     rnic._service_carry = total - whole
                     resource = rnic.inbound_engine
-                    grant = yield resource.acquire()
+                    grant = resource.try_acquire()
+                    if grant is None:
+                        grant = yield resource.acquire()
+                    start = self.sim.now
                     if _trace.TRACER is not None:
                         _trace.TRACER.begin(
-                            self.sim.now, f"rnic@{remote_gid}", "rnic.inbound",
+                            start, f"rnic@{remote_gid}", "rnic.inbound",
                             opcode=opcode.value,
                         )
                     try:
                         yield whole
-                    finally:
-                        resource.release(grant)
+                    except GeneratorExit:
+                        raise  # a dropped simulation: see Resource
+                    except BaseException:
+                        rnic._release(resource, grant, "inbound", start)
+                        raise
+                    rnic._release(resource, grant, "inbound", start)
                     if _trace.TRACER is not None:
                         _trace.TRACER.end(
                             self.sim.now, f"rnic@{remote_gid}", "rnic.inbound"
@@ -439,11 +458,18 @@ class QueuePair:
                         # The duplicate arrives right behind the original;
                         # the responder burns engine time re-serving it,
                         # then discards it by PSN before any memory op.
-                        grant = yield resource.acquire()
+                        grant = resource.try_acquire()
+                        if grant is None:
+                            grant = yield resource.acquire()
+                        start = self.sim.now
                         try:
                             yield whole
-                        finally:
-                            resource.release(grant)
+                        except GeneratorExit:
+                            raise
+                        except BaseException:
+                            rnic._release(resource, grant, "inbound", start)
+                            raise
+                        rnic._release(resource, grant, "inbound", start)
                         rnic.stats_inbound_ops += 1
                     yield timing.NIC_RESPONDER_PIPELINE_NS
                     if not remote_node.alive:
@@ -498,8 +524,7 @@ class QueuePair:
                 wire_back = fabric.one_way_ns(response_bytes)
                 if rfault is not None:
                     wire_back = rfault.delay_ns(wire_back)
-                yield wire_back
-                yield timing.NIC_RX_COMPLETION_NS
+                yield wire_back + timing.NIC_RX_COMPLETION_NS
                 byte_len = length
                 break
             except _UdDrop:
@@ -522,9 +547,6 @@ class QueuePair:
                     yield self.timeout_ns
                     continue
                 status = WcStatus.RETRY_EXC_ERR
-                yield fabric.one_way_ns(0)
-                yield timing.NIC_RX_COMPLETION_NS
-                break
             except _RnrNak:
                 # Receiver not ready: honor the RNR retry budget.
                 if rnr_left > 0:
@@ -541,15 +563,12 @@ class QueuePair:
                 status = (
                     WcStatus.RNR_ERR if self.rnr_retry == 0 else WcStatus.RNR_RETRY_EXC_ERR
                 )
-                yield fabric.one_way_ns(0)
-                yield timing.NIC_RX_COMPLETION_NS
-                break
             except _Malformed as malformed:
                 status = malformed.status
-                # The NAK still travels back before the requester learns of it.
-                yield fabric.one_way_ns(0)
-                yield timing.NIC_RX_COMPLETION_NS
-                break
+            # A failure verdict: the NAK still travels back before the
+            # requester learns of it.
+            yield fabric.one_way_ns(0) + timing.NIC_RX_COMPLETION_NS
+            break
         # Deliver completions in posting order (RC FIFO, §4.6).
         if prev_done is not None and not prev_done.triggered:
             yield prev_done
@@ -565,60 +584,12 @@ class QueuePair:
             self._enter_error()
         done.trigger(None)
 
-    def _fetch_local(self, wr):
-        """Validate the local SGE; return outbound payload bytes if any."""
-        if wr.length == 0 and wr.opcode is Opcode.SEND:
-            return b""
-        try:
-            self.node.memory.check_local(wr.lkey, wr.laddr, wr.length)
-        except MemoryError_ as err:
-            raise _Malformed(WcStatus.LOC_PROT_ERR) from err
-        if wr.opcode in (Opcode.WRITE, Opcode.WRITE_IMM, Opcode.SEND):
-            return self.node.memory.read(wr.laddr, wr.length)
-        return None
-
-    def _remote_gid(self, wr):
-        if self.qp_type is QpType.RC:
-            if self.remote is None:
-                raise _Malformed(WcStatus.RETRY_EXC_ERR)
-            return self.remote[0]
-        # UD and DC address per work request.
-        if wr.dct_gid is None:
-            raise _Malformed(WcStatus.BAD_OPCODE_ERR)
-        return wr.dct_gid
-
-    def _resolve_remote(self, gid, wr):
-        if not self.node.fabric.has_node(gid):
-            if self.qp_type is QpType.UD:
-                raise _UdDrop()
-            raise _Malformed(WcStatus.RETRY_EXC_ERR)
-        node = self.node.fabric.node(gid)
-        if self.qp_type is QpType.DC:
-            target = node.rnic.dct_target(wr.dct_number)
-            if target is None or target.key != wr.dct_key:
-                raise _Malformed(WcStatus.REM_ACCESS_ERR)
-        return node
-
     def _execute_remote(self, remote_node, wr, payload):
-        """Responder-side processing.  Returns the response payload size."""
+        """Responder-side processing of every opcode but READ and WRITE
+        (``_flight`` inlines those).  Returns the response payload size."""
         rnic = remote_node.rnic
         memory = remote_node.memory
         try:
-            if wr.opcode is Opcode.READ:
-                service = timing.READ_RESPONDER_SERVICE_NS
-                service += timing.responder_payload_service_ns(wr.length)
-                if self.qp_type is QpType.DC:
-                    service += timing.DC_READ_SERVICE_EXTRA_NS
-                yield from rnic.serve_inbound(service)
-                yield timing.NIC_RESPONDER_PIPELINE_NS
-                if not remote_node.alive:
-                    raise _Unreachable()
-                memory.check_remote(wr.rkey, wr.raddr, wr.length, write=False)
-                data = memory.read(wr.raddr, wr.length)
-                self.node.memory.write(wr.laddr, data)
-                if _check.CHECKER is not None:
-                    _check.CHECKER.read_executed(remote_node.gid, wr.rkey, self.sim.now)
-                return wr.length
             if wr.opcode is Opcode.READ_V:
                 # Vectored gather: one request, one responder occupancy.
                 # The payload-size cost is charged once on the summed
@@ -646,7 +617,7 @@ class QueuePair:
                         )
                     offset += seg_len
                 return wr.length
-            if wr.opcode is Opcode.WRITE or wr.opcode is Opcode.WRITE_IMM:
+            if wr.opcode is Opcode.WRITE_IMM:
                 service = timing.WRITE_RESPONDER_SERVICE_NS
                 service += timing.responder_payload_service_ns(wr.length)
                 if self.qp_type is QpType.DC:
@@ -657,11 +628,10 @@ class QueuePair:
                     raise _Unreachable()
                 memory.check_remote(wr.rkey, wr.raddr, wr.length, write=True)
                 memory.write(wr.raddr, payload)
-                if wr.opcode is Opcode.WRITE_IMM:
-                    # The immediate rides the last write packet and raises a
-                    # receiver-side CQE, consuming a posted recv buffer --
-                    # RNR semantics apply just like a SEND.
-                    yield from self._deliver_imm(remote_node, wr)
+                # The immediate rides the last write packet and raises a
+                # receiver-side CQE, consuming a posted recv buffer -- RNR
+                # semantics apply just like a SEND.
+                yield from self._deliver_imm(remote_node, wr)
                 return 0
             if wr.opcode in (Opcode.CAS, Opcode.FETCH_ADD):
                 yield from rnic.serve_inbound(timing.ATOMIC_RESPONDER_SERVICE_NS)
@@ -815,11 +785,9 @@ class QueuePair:
         if _metrics.METRICS is not None:
             _metrics.METRICS.counter("verbs.qp_errors").inc()
         # Flush everything still queued in the send queue.
-        while True:
-            stale = self._sq.try_get()
-            if stale is None:
-                break
-            self._complete(stale, WcStatus.FLUSH_ERR)
+        sq = self._sq
+        while sq:
+            self._complete(sq.popleft(), WcStatus.FLUSH_ERR)
 
 
 class _Malformed(Exception):

@@ -14,12 +14,14 @@ Two layers:
 from types import SimpleNamespace
 
 from repro.check import Checker, FifoStrategy
+from repro.check.hooks import checking
 from repro.check.runner import run_once
+from repro.cluster import Cluster
 from repro.krcore import KrcoreLib
 from repro.krcore.module import KrcoreModule, _stable_key
 from repro.sim import Simulator
-from repro.verbs import CompletionQueue
-from tests.conftest import krcore_cluster
+from repro.verbs import CompletionQueue, WorkRequest
+from tests.conftest import krcore_cluster, quick_rc_pair, register
 
 
 # ---------------------------------------------------------------- unit layer
@@ -190,6 +192,26 @@ def test_rnic_busy_overlap_is_flagged():
     checker2.rnic_busy(rnic, "inbound", object(), 0, 100)
     checker2.rnic_busy(rnic, "command", object(), 50, 80)
     assert checker2.ok
+
+
+def test_checker_sees_inbound_service_of_every_read():
+    """The inlined READ/WRITE responder path reports its engine
+    occupancy like ``Rnic.serve_inbound`` does: one ``rnic.busy`` per
+    READ, none overlapping on the shared engine."""
+    sim = Simulator()
+    cluster = Cluster(sim, num_nodes=2)
+    client, server = cluster.node(0), cluster.node(1)
+    laddr, lmr = register(client, 4096)
+    raddr, rmr = register(server, 4096)
+    qps = [quick_rc_pair(client, server)[0] for _ in range(3)]
+    with checking(Checker()) as checker:
+        for qp in qps:
+            qp.post_send_batch(
+                [WorkRequest.read(laddr, 64, lmr.lkey, raddr, rmr.rkey) for _ in range(8)]
+            )
+        sim.run()
+    assert checker.observed.get("rnic.busy") == 24
+    assert checker.ok, checker.violations
 
 
 def test_checker_digest_is_deterministic():
