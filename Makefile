@@ -41,7 +41,8 @@ bench-full:
 
 # Speed gate: the latest `make bench` run's aggregate fast-suite
 # simulated ns per host second must stay within 20% of
-# benchmarks/perf_floor.json.
+# benchmarks/perf_floor.json, and no figure may dispatch more events
+# than recorded there (exact counts, per event core).
 # Re-baseline an intended change with:
 #   python -m repro.bench.budget <BENCH.json> --label bench --write-floor
 perf-budget:

@@ -1,11 +1,21 @@
-"""Perf-budget gate: fail CI when fast-suite host speed regresses.
+"""Perf-budget gate: fail CI when fast-suite host speed or work regresses.
 
 ``benchmarks/perf_floor.json`` commits the aggregate fast-suite
 ``sim_ns_per_sec`` (simulated nanoseconds per host second) the default
-engine sustained when the floor was last recorded.  This module reads a ``BENCH_<date>.json`` trajectory (as
+engine sustained when the floor was last recorded, and each fast
+figure's ``events_dispatched``.  This module reads a ``BENCH_<date>.json`` trajectory (as
 written by ``python -m repro.bench --perf-json``), aggregates the most
 recent run's fast-mode figure records, and exits non-zero when the
-measured rate falls more than ``--slack`` (default 20%) below the floor.
+measured rate falls more than ``--slack`` (default 20%) below the floor,
+or when any figure dispatches more events than its floor.
+
+Event counts are exact -- a figure's simulation is deterministic -- so
+their gate has no slack and no noise: it catches a change that adds
+scheduler hops even when host timing hides it.  They are recorded per
+event core (the two cores may dispatch a few events apart), and a run
+is gated only against the counts of its own core.  Figures that
+dispatch fewer events than their floor are reported, so the floor can
+be tightened with ``--write-floor``.
 
     python -m repro.bench.budget benchmarks/BENCH_2026-08-09.json
     python -m repro.bench.budget BENCH.json --floor benchmarks/perf_floor.json
@@ -56,6 +66,32 @@ def aggregate_rate(run):
     return sim_ns / wall, used
 
 
+def figure_events(run):
+    """``{engine: {figure: events_dispatched}}`` over a run's fast-mode
+    records (profiling slows a figure down but does not change its
+    events)."""
+    events = {}
+    for record in run.get("figures", []):
+        if record.get("mode") == "fast" and record.get("events_dispatched") is not None:
+            by_figure = events.setdefault(record.get("engine"), {})
+            by_figure[record["figure"]] = record["events_dispatched"]
+    return events
+
+
+def compare_events(events, floor_events):
+    """Figures dispatching more and fewer events than the floor:
+    ``(over, under)``, each a sorted list of ``(figure, events, floor)``.
+    Figures missing from either side are skipped."""
+    over, under = [], []
+    for figure in sorted(events.keys() & floor_events.keys()):
+        count, floor = events[figure], floor_events[figure]
+        if count > floor:
+            over.append((figure, count, floor))
+        elif count < floor:
+            under.append((figure, count, floor))
+    return over, under
+
+
 def select_run(data, label=None):
     """The most recent run in the trajectory, optionally filtered by label."""
     runs = data.get("runs", [])
@@ -74,7 +110,8 @@ def load_floor(path):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.budget",
-        description="Gate on fast-suite simulated ns per host second vs the committed floor.",
+        description="Gate on fast-suite simulated ns per host second and per-figure "
+                    "events dispatched vs the committed floor.",
     )
     parser.add_argument("trajectory", help="BENCH_<date>.json trajectory file")
     parser.add_argument(
@@ -112,17 +149,24 @@ def main(argv=None):
             "schema": 1,
             "fast_suite_sim_ns_per_sec": round(rate),
             "records_aggregated": used,
+            "fast_figure_events": {
+                engine: dict(sorted(events.items()))
+                for engine, events in sorted(figure_events(run).items())
+            },
             "recorded": time.strftime("%Y-%m-%d"),
             "source": str(args.trajectory),
             "note": "aggregate simulated ns per host second over the fast "
-                    "figure suite; gate fails below (1 - slack) * floor, slack 0.2",
+                    "figure suite; gate fails below (1 - slack) * floor, slack 0.2; "
+                    "and when a figure dispatches more events than recorded here",
         }
         pathlib.Path(args.floor).write_text(json.dumps(floor_doc, indent=2) + "\n")
         print(f"perf-budget: floor re-baselined to {round(rate):,} sim-ns/s "
-              f"({used} records) in {args.floor}")
+              f"({used} records) and {len(floor_doc['fast_figure_events'])} "
+              f"figure event counts in {args.floor}")
         return 0
 
-    floor = load_floor(args.floor)["fast_suite_sim_ns_per_sec"]
+    floor_doc = load_floor(args.floor)
+    floor = floor_doc["fast_suite_sim_ns_per_sec"]
     cutoff = floor * (1.0 - args.slack)
     verdict = "OK" if rate >= cutoff else "FAIL"
     print(
@@ -130,6 +174,7 @@ def main(argv=None):
         f"(floor {floor:,} - {args.slack:.0%} slack = cutoff {cutoff:,.0f}) "
         f"{verdict}"
     )
+    status = 0
     if rate < cutoff:
         print(
             "perf-budget: fast-suite host speed regressed past the budget; "
@@ -137,8 +182,30 @@ def main(argv=None):
             "--write-floor if the regression is intended and justified)",
             file=sys.stderr,
         )
-        return 1
-    return 0
+        status = 1
+    over, under = [], []
+    floor_events = floor_doc.get("fast_figure_events", {})
+    for engine, events in sorted(figure_events(run).items()):
+        if engine not in floor_events:
+            print(f"perf-budget: no event-count floor for the {engine} core; not gated")
+            continue
+        engine_over, engine_under = compare_events(events, floor_events[engine])
+        over += engine_over
+        under += engine_under
+    for figure, count, floor_count in over:
+        print(f"perf-budget: {figure} dispatched {count:,} events, "
+              f"floor {floor_count:,} FAIL")
+    for figure, count, floor_count in under:
+        print(f"perf-budget: {figure} dispatched {count:,} events, "
+              f"floor {floor_count:,} (below: tighten with --write-floor)")
+    if over:
+        print(
+            "perf-budget: a figure dispatches more events than its floor; "
+            "the simulation does more scheduler work than before",
+            file=sys.stderr,
+        )
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -309,12 +309,13 @@ class Checker:
                 f"times (last status {status.name})",
             )
 
-    def rnic_busy(self, rnic, label, resource, start, end):
-        """A serialized RNIC engine was occupied over [start, end]."""
+    def rnic_busy(self, rnic, label, engine, start, end):
+        """A serialized RNIC engine was occupied over [start, end];
+        ``engine`` is any object that identifies the engine."""
         self._note("rnic.busy")
-        record = self._busy.get(id(resource))
+        record = self._busy.get(id(engine))
         if record is None:
-            self._busy[id(resource)] = [resource, label, int(end)]
+            self._busy[id(engine)] = [engine, label, int(end)]
             return
         if start < record[2]:
             self.violate(

@@ -12,7 +12,14 @@ Two serialized engines reproduce the two bottlenecks the paper measures:
 Latency and occupancy are modelled separately: an op holds the engine for
 its (few-ns) service time, then pays a fixed pipeline latency that does not
 block other ops.
+
+The inbound engine is booked in closed form: a FIFO single server whose
+service time is known on arrival starts each op at ``max(arrival,
+free_at)`` and moves ``free_at`` to its end (Lindley's recursion) -- the
+start and end a queue with grant events gives, for one update per op.
 """
+
+from collections import deque
 
 from repro.check import hooks as _check
 from repro.obs import metrics as _metrics
@@ -27,7 +34,11 @@ class Rnic:
         self.sim = sim
         self.node = node
         self.command_processor = Resource(sim, capacity=1)
-        self.inbound_engine = Resource(sim, capacity=1)
+        #: When the inbound engine finishes everything booked on it.
+        self._inbound_free_at = 0
+        #: Ends (non-decreasing) of booked ops not yet counted as served.
+        self._inbound_ends = deque()
+        self._inbound_served = 0
         self._qps = {}
         self._dct_targets = {}
         self._next_qpn = 1
@@ -35,8 +46,6 @@ class Rnic:
         #: Fractional-ns remainder so sub-ns service times still add up to
         #: the right aggregate rate (sim time is integer ns).
         self._service_carry = 0.0
-        #: Inbound ops served (benchmarks read this for unbiased rates).
-        self.stats_inbound_ops = 0
         #: Admission bound on the command queue (repro.degrade): when
         #: this many ops already wait for the command processor, further
         #: control-path work is rejected instead of queued.  None (the
@@ -53,6 +62,19 @@ class Rnic:
         #: command processor or inbound engine; it is what a dedicated
         #: polling core costs the node.
         self.stats_cq_poll_busy_ns = 0
+
+    @property
+    def stats_inbound_ops(self):
+        """Inbound ops whose service has ended by now (benchmarks read this
+        for unbiased rates)."""
+        self._prune_inbound(self.sim.now)
+        return self._inbound_served
+
+    def _prune_inbound(self, now):
+        ends = self._inbound_ends
+        while ends and ends[0] <= now:
+            ends.popleft()
+            self._inbound_served += 1
 
     # -- registries -----------------------------------------------------------
 
@@ -128,7 +150,7 @@ class Rnic:
         start = self.sim.now
         if _trace.TRACER is not None:
             _trace.TRACER.begin(
-                self.sim.now, f"rnic@{self.node.gid}", "rnic.command"
+                self.sim.now, f"rnic.cmd@{self.node.gid}", "rnic.command"
             )
         try:
             yield int(service_ns)
@@ -139,7 +161,7 @@ class Rnic:
             raise
         self._release(resource, grant, "command", start)
         if _trace.TRACER is not None:
-            _trace.TRACER.end(self.sim.now, f"rnic@{self.node.gid}", "rnic.command")
+            _trace.TRACER.end(self.sim.now, f"rnic.cmd@{self.node.gid}", "rnic.command")
         if _metrics.METRICS is not None:
             registry = _metrics.METRICS
             registry.counter("rnic.command_ops").inc()
@@ -151,17 +173,33 @@ class Rnic:
         Models a firmware/command-engine hiccup: the engine finishes its
         current op, then sits occupied, so queued work (connection setups,
         QP repairs, inbound ops) backs up behind the stall and drains in
-        FIFO order afterwards -- no work is lost.
+        FIFO order afterwards -- no work is lost.  An inbound stall books
+        the engine's clock like any inbound op.
         """
-        resource = self.command_processor if engine == "command" else self.inbound_engine
+        duration_ns = int(duration_ns)
+        if engine == "inbound":
+            now = self.sim.now
+            start = max(now, self._inbound_free_at)
+            end = self._inbound_free_at = start + duration_ns
+            if _trace.TRACER is not None:
+                track = f"rnic@{self.node.gid}"
+                _trace.TRACER.begin(start, track, "rnic.stall", engine=engine)
+                _trace.TRACER.end(end, track, "rnic.stall")
+            if _check.CHECKER is not None:
+                _check.CHECKER.rnic_busy(self, "stall:inbound", self, start, end)
+            if _metrics.METRICS is not None:
+                _metrics.METRICS.counter("rnic.stall_ns").inc(duration_ns)
+            yield end - now
+            return
+        resource = self.command_processor
         grant = yield resource.acquire()
         start = self.sim.now
         if _trace.TRACER is not None:
             _trace.TRACER.begin(
-                self.sim.now, f"rnic@{self.node.gid}", "rnic.stall", engine=engine
+                self.sim.now, f"rnic.cmd@{self.node.gid}", "rnic.stall", engine=engine
             )
         try:
-            yield int(duration_ns)
+            yield duration_ns
         except GeneratorExit:
             raise  # a dropped simulation: see Resource
         except BaseException:
@@ -169,39 +207,46 @@ class Rnic:
             raise
         self._release(resource, grant, f"stall:{engine}", start)
         if _trace.TRACER is not None:
-            _trace.TRACER.end(self.sim.now, f"rnic@{self.node.gid}", "rnic.stall")
+            _trace.TRACER.end(self.sim.now, f"rnic.cmd@{self.node.gid}", "rnic.stall")
         if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("rnic.stall_ns").inc(int(duration_ns))
+            _metrics.METRICS.counter("rnic.stall_ns").inc(duration_ns)
 
-    def serve_inbound(self, service_ns):
-        """Process: occupy the inbound engine for ``service_ns``.
+    def inbound_ns(self, service_ns):
+        """One inbound op's service time, in whole ns, on this engine now.
 
         Accepts fractional nanoseconds; the remainder is carried so that
-        aggregate throughput matches the configured rate exactly.
+        aggregate throughput matches the configured rate exactly.  A
+        gray-failure window slows every opcode alike.
         """
         if self._degraded_until and self.sim.now < self._degraded_until:
             service_ns = service_ns * self._degrade_factor
         total = service_ns + self._service_carry
         whole = int(total)
         self._service_carry = total - whole
-        # Resource.serve inlined: this is the per-op responder hot path.
-        resource = self.inbound_engine
-        grant = yield resource.acquire()
-        start = self.sim.now
+        return whole
+
+    def book_inbound(self, whole, opcode):
+        """Book ``whole`` ns (from :meth:`inbound_ns`) of one ``opcode``
+        op on the inbound engine; returns the ns from now until its
+        service ends.
+
+        The service starts once everything booked before it has ended
+        (FIFO), so the caller just waits out the returned delay -- no
+        queue, grant event or release.
+        """
+        now = self.sim.now
+        start = self._inbound_free_at
+        if start < now:
+            start = now
+        end = self._inbound_free_at = start + whole
+        self._prune_inbound(now)
+        self._inbound_ends.append(end)
         if _trace.TRACER is not None:
-            _trace.TRACER.begin(
-                self.sim.now, f"rnic@{self.node.gid}", "rnic.inbound"
-            )
-        try:
-            yield whole
-        except GeneratorExit:
-            raise  # a dropped simulation: see Resource
-        except BaseException:
-            self._release(resource, grant, "inbound", start)
-            raise
-        self._release(resource, grant, "inbound", start)
-        if _trace.TRACER is not None:
-            _trace.TRACER.end(self.sim.now, f"rnic@{self.node.gid}", "rnic.inbound")
+            track = f"rnic@{self.node.gid}"
+            _trace.TRACER.begin(start, track, "rnic.inbound", opcode=opcode.value)
+            _trace.TRACER.end(end, track, "rnic.inbound")
         if _metrics.METRICS is not None:
             _metrics.METRICS.counter("rnic.inbound_busy_ns").inc(whole)
-        self.stats_inbound_ops += 1
+        if _check.CHECKER is not None:
+            _check.CHECKER.rnic_busy(self, "inbound", self, start, end)
+        return end - now

@@ -602,7 +602,10 @@ class KrcoreModule:
                 if breaker is not None:
                     breaker.record_success(self.sim.now - started)
                 return value
-        raise last_error
+        try:
+            raise last_error
+        finally:
+            last_error = None  # the raised error's traceback names this frame
 
     def lookup_dct_robust(self, cpu_id, gid, deadline=None):
         """Process: DCT metadata lookup with bounded retry + exponential
@@ -632,8 +635,10 @@ class KrcoreModule:
                         f"({pause} ns) for DCT lookup of {gid}",
                         code=WcStatus.RETRY_EXC_ERR,
                     ) from err
-                yield pause
-                backoff = min(backoff * 2, timing.KRCORE_BACKOFF_MAX_NS)
+            # Sleep outside the handler: suspended inside it, this frame
+            # would keep the error's traceback alive (DESIGN.md §8).
+            yield pause
+            backoff = min(backoff * 2, timing.KRCORE_BACKOFF_MAX_NS)
 
     def revalidate_dct(self, cpu_id, gid, stale_meta=None):
         """Process: drop a suspect DCCache entry and re-fetch fresh DCT

@@ -247,8 +247,10 @@ class MrStore:
                         f"deadline cannot cover retry {attempt} backoff "
                         f"({pause} ns) for MR ({gid}, {rkey})",
                     ) from err
-                yield pause
-                backoff = min(backoff * 2, timing.KRCORE_BACKOFF_MAX_NS)
+            # Sleep outside the handler: suspended inside it, this frame
+            # would keep the error's traceback alive (DESIGN.md §8).
+            yield pause
+            backoff = min(backoff * 2, timing.KRCORE_BACKOFF_MAX_NS)
 
     def invalidate(self, gid, rkey=None):
         if rkey is not None:

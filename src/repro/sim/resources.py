@@ -51,17 +51,6 @@ class Resource:
             self._waiting.append(event)
         return event
 
-    def try_acquire(self):
-        """A grant at once if a unit is free (so nobody waits), else None.
-
-        Books the grant exactly as :meth:`acquire` would, minus the event
-        hop, so FIFO order among waiters is unchanged.
-        """
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return _Grant(self)
-        return None
-
     def release(self, grant):
         if not isinstance(grant, _Grant) or grant.resource is not self:
             raise SimulationError("release() needs the grant from acquire()")

@@ -315,14 +315,14 @@ class QueuePair:
     def _flight(self, wr, prev_done, done):
         """One WR's life on the network, ending with in-order completion.
 
-        The READ/WRITE responder path is inlined here (with
-        ``Rnic.serve_inbound``'s accounting) rather than left to
+        The READ/WRITE responder path is inlined here rather than left to
         ``_execute_remote``: this generator is resumed for every hop of
         every WR, and each nested ``yield from`` frame is traversed on
-        every resume.  It also saves scheduler hops: an idle inbound
-        engine is taken with ``try_acquire`` instead of an event round
-        trip, and the response's wire time and the RX completion cost are
-        one delay (so are the NAK paths').
+        every resume.  It also saves scheduler hops: the responder's
+        inbound service and pipeline latency are one delay
+        (``Rnic.book_inbound`` books the engine in closed form), and so
+        are the response's wire time and the RX completion cost (and the
+        NAK paths').
 
         The attempt loop is the retransmission machinery: a lost packet or
         unreachable responder burns one ``timeout_ns`` wait per retry; an
@@ -341,6 +341,7 @@ class QueuePair:
         executed = False  # remote side effects applied (exactly-once guard)
         saved_response_bytes = 0
         while True:
+            retry_ns = None
             try:
                 opcode = wr.opcode
                 length = wr.length
@@ -426,52 +427,16 @@ class QueuePair:
                         service += timing.responder_payload_service_ns(length)
                         if qp_type is QpType.DC:
                             service += timing.DC_WRITE_SERVICE_EXTRA_NS
-                    total = service + rnic._service_carry
-                    whole = int(total)
-                    rnic._service_carry = total - whole
-                    resource = rnic.inbound_engine
-                    grant = resource.try_acquire()
-                    if grant is None:
-                        grant = yield resource.acquire()
-                    start = self.sim.now
-                    if _trace.TRACER is not None:
-                        _trace.TRACER.begin(
-                            start, f"rnic@{remote_gid}", "rnic.inbound",
-                            opcode=opcode.value,
-                        )
-                    try:
-                        yield whole
-                    except GeneratorExit:
-                        raise  # a dropped simulation: see Resource
-                    except BaseException:
-                        rnic._release(resource, grant, "inbound", start)
-                        raise
-                    rnic._release(resource, grant, "inbound", start)
-                    if _trace.TRACER is not None:
-                        _trace.TRACER.end(
-                            self.sim.now, f"rnic@{remote_gid}", "rnic.inbound"
-                        )
-                    if _metrics.METRICS is not None:
-                        _metrics.METRICS.counter("rnic.inbound_busy_ns").inc(whole)
-                    rnic.stats_inbound_ops += 1
+                    whole = rnic.inbound_ns(service)
+                    wait = rnic.book_inbound(whole, opcode)
                     if duplicated:
                         # The duplicate arrives right behind the original;
-                        # the responder burns engine time re-serving it,
+                        # the responder re-serves it once the original's
+                        # service ends (behind whatever queued meanwhile),
                         # then discards it by PSN before any memory op.
-                        grant = resource.try_acquire()
-                        if grant is None:
-                            grant = yield resource.acquire()
-                        start = self.sim.now
-                        try:
-                            yield whole
-                        except GeneratorExit:
-                            raise
-                        except BaseException:
-                            rnic._release(resource, grant, "inbound", start)
-                            raise
-                        rnic._release(resource, grant, "inbound", start)
-                        rnic.stats_inbound_ops += 1
-                    yield timing.NIC_RESPONDER_PIPELINE_NS
+                        yield wait
+                        wait = rnic.book_inbound(whole, opcode)
+                    yield wait + timing.NIC_RESPONDER_PIPELINE_NS
                     if not remote_node.alive:
                         raise _Unreachable()
                     if executed:
@@ -501,14 +466,14 @@ class QueuePair:
                 elif executed:
                     # SEND/atomic retransmission after a lost response:
                     # engine time only, no re-execution (exactly-once).
-                    yield from self._serve_duplicate(remote_node, wr)
+                    yield self._serve_duplicate(remote_node, wr)
                     response_bytes = saved_response_bytes
                 else:
                     response_bytes = yield from self._execute_remote(remote_node, wr, payload)
                     executed = True
                     saved_response_bytes = response_bytes
                     if duplicated:
-                        yield from self._serve_duplicate(remote_node, wr)
+                        yield self._serve_duplicate(remote_node, wr)
                 # -- response --
                 rfault = None
                 if fabric.link_faults:
@@ -530,8 +495,7 @@ class QueuePair:
             except _UdDrop:
                 # Unreliable datagram: the packet vanished; the sender still
                 # completes successfully and never learns.
-                yield timing.NIC_RX_COMPLETION_NS
-                break
+                pass
             except _Unreachable:
                 # No response arrived: wait out the retransmission timer,
                 # then try again; RETRY_EXC_ERR only when the budget dies.
@@ -544,9 +508,9 @@ class QueuePair:
                         )
                     if _metrics.METRICS is not None:
                         _metrics.METRICS.counter("verbs.retransmits").inc()
-                    yield self.timeout_ns
-                    continue
-                status = WcStatus.RETRY_EXC_ERR
+                    retry_ns = self.timeout_ns
+                else:
+                    status = WcStatus.RETRY_EXC_ERR
             except _RnrNak:
                 # Receiver not ready: honor the RNR retry budget.
                 if rnr_left > 0:
@@ -558,16 +522,24 @@ class QueuePair:
                         )
                     if _metrics.METRICS is not None:
                         _metrics.METRICS.counter("verbs.retransmits").inc()
-                    yield self.rnr_timer_ns
-                    continue
-                status = (
-                    WcStatus.RNR_ERR if self.rnr_retry == 0 else WcStatus.RNR_RETRY_EXC_ERR
-                )
+                    retry_ns = self.rnr_timer_ns
+                else:
+                    status = (
+                        WcStatus.RNR_ERR if self.rnr_retry == 0 else WcStatus.RNR_RETRY_EXC_ERR
+                    )
             except _Malformed as malformed:
                 status = malformed.status
-            # A failure verdict: the NAK still travels back before the
-            # requester learns of it.
-            yield fabric.one_way_ns(0) + timing.NIC_RX_COMPLETION_NS
+            # Wait outside the handlers: parked inside one, this frame would
+            # keep the exception's traceback alive (DESIGN.md §8).
+            if retry_ns is not None:
+                yield retry_ns
+                continue
+            if status is WcStatus.SUCCESS:
+                yield timing.NIC_RX_COMPLETION_NS  # the UD drop
+            else:
+                # A failure verdict: the NAK still travels back before the
+                # requester learns of it.
+                yield fabric.one_way_ns(0) + timing.NIC_RX_COMPLETION_NS
             break
         # Deliver completions in posting order (RC FIFO, §4.6).
         if prev_done is not None and not prev_done.triggered:
@@ -589,23 +561,34 @@ class QueuePair:
         (``_flight`` inlines those).  Returns the response payload size."""
         rnic = remote_node.rnic
         memory = remote_node.memory
+        opcode = wr.opcode
+        if opcode is Opcode.READ_V:
+            # Vectored gather: one request, one responder occupancy; the
+            # payload cost is charged once on the summed length, plus a
+            # DMA-setup charge per discontiguous segment after the first.
+            service = timing.READ_RESPONDER_SERVICE_NS
+            service += timing.responder_payload_service_ns(wr.length)
+            service += timing.VECTORED_SGE_SERVICE_NS * (len(wr.sges) - 1)
+            if self.qp_type is QpType.DC:
+                service += timing.DC_READ_SERVICE_EXTRA_NS
+        elif opcode is Opcode.WRITE_IMM:
+            service = timing.WRITE_RESPONDER_SERVICE_NS
+            service += timing.responder_payload_service_ns(wr.length)
+            if self.qp_type is QpType.DC:
+                service += timing.DC_WRITE_SERVICE_EXTRA_NS
+        elif opcode in (Opcode.CAS, Opcode.FETCH_ADD):
+            service = timing.ATOMIC_RESPONDER_SERVICE_NS
+        else:
+            service = timing.SEND_RESPONDER_SERVICE_NS
+        wait = rnic.book_inbound(rnic.inbound_ns(service), opcode)
+        yield wait + timing.NIC_RESPONDER_PIPELINE_NS
+        if not remote_node.alive:
+            if opcode is Opcode.SEND and self.qp_type is QpType.UD:
+                raise _UdDrop()
+            raise _Unreachable()
         try:
-            if wr.opcode is Opcode.READ_V:
-                # Vectored gather: one request, one responder occupancy.
-                # The payload-size cost is charged once on the summed
-                # length; each discontiguous segment after the first adds
-                # a DMA-setup charge.  Segments are validated and gathered
-                # in order, scattering back-to-back into the local buffer.
-                service = timing.READ_RESPONDER_SERVICE_NS
-                service += timing.responder_payload_service_ns(wr.length)
-                service += timing.VECTORED_SGE_SERVICE_NS * (len(wr.sges) - 1)
-                if self.qp_type is QpType.DC:
-                    service += timing.DC_READ_SERVICE_EXTRA_NS
-                yield from rnic.serve_inbound(service)
-                yield timing.NIC_RESPONDER_PIPELINE_NS
-                if not remote_node.alive:
-                    raise _Unreachable()
-                offset = 0
+            if opcode is Opcode.READ_V:
+                offset = 0  # gathered in order, back to back locally
                 for raddr, rkey, seg_len in wr.sges:
                     memory.check_remote(rkey, raddr, seg_len, write=False)
                     self.node.memory.write(
@@ -617,15 +600,7 @@ class QueuePair:
                         )
                     offset += seg_len
                 return wr.length
-            if wr.opcode is Opcode.WRITE_IMM:
-                service = timing.WRITE_RESPONDER_SERVICE_NS
-                service += timing.responder_payload_service_ns(wr.length)
-                if self.qp_type is QpType.DC:
-                    service += timing.DC_WRITE_SERVICE_EXTRA_NS
-                yield from rnic.serve_inbound(service)
-                yield timing.NIC_RESPONDER_PIPELINE_NS
-                if not remote_node.alive:
-                    raise _Unreachable()
+            if opcode is Opcode.WRITE_IMM:
                 memory.check_remote(wr.rkey, wr.raddr, wr.length, write=True)
                 memory.write(wr.raddr, payload)
                 # The immediate rides the last write packet and raises a
@@ -633,27 +608,16 @@ class QueuePair:
                 # semantics apply just like a SEND.
                 yield from self._deliver_imm(remote_node, wr)
                 return 0
-            if wr.opcode in (Opcode.CAS, Opcode.FETCH_ADD):
-                yield from rnic.serve_inbound(timing.ATOMIC_RESPONDER_SERVICE_NS)
-                yield timing.NIC_RESPONDER_PIPELINE_NS
-                if not remote_node.alive:
-                    raise _Unreachable()
+            if opcode in (Opcode.CAS, Opcode.FETCH_ADD):
                 memory.check_remote(wr.rkey, wr.raddr, 8, write=True)
                 old = int.from_bytes(memory.read(wr.raddr, 8), "big")
-                if wr.opcode is Opcode.CAS:
+                if opcode is Opcode.CAS:
                     if old == wr.compare:
                         memory.write(wr.raddr, wr.swap.to_bytes(8, "big"))
                 else:
                     memory.write(wr.raddr, ((old + wr.compare) % (1 << 64)).to_bytes(8, "big"))
                 self.node.memory.write(wr.laddr, old.to_bytes(8, "big"))
                 return 8
-            # SEND
-            yield from rnic.serve_inbound(timing.SEND_RESPONDER_SERVICE_NS)
-            yield timing.NIC_RESPONDER_PIPELINE_NS
-            if not remote_node.alive:
-                if self.qp_type is QpType.UD:
-                    raise _UdDrop()
-                raise _Unreachable()
             yield from self._deliver_send(remote_node, wr, payload)
             return 0
         except MemoryError_ as err:
@@ -662,13 +626,13 @@ class QueuePair:
             raise _Malformed(WcStatus.REM_ACCESS_ERR) from err
 
     def _serve_duplicate(self, remote_node, wr):
-        """Charge the responder for a packet it will discard by PSN.
+        """Charge the responder for a packet it will discard by PSN;
+        returns the delay until the responder is done with it.
 
         Used for duplicated requests and for retransmissions of an op whose
         effects already applied (``executed``): the engine re-serves the
         request, but no memory op or delivery happens (exactly-once).
         """
-        rnic = remote_node.rnic
         if wr.opcode in (Opcode.CAS, Opcode.FETCH_ADD):
             service = timing.ATOMIC_RESPONDER_SERVICE_NS
         elif wr.opcode is Opcode.WRITE_IMM:
@@ -680,8 +644,9 @@ class QueuePair:
             service += timing.VECTORED_SGE_SERVICE_NS * (len(wr.sges) - 1)
         else:
             service = timing.SEND_RESPONDER_SERVICE_NS
-        yield from rnic.serve_inbound(service)
-        yield timing.NIC_RESPONDER_PIPELINE_NS
+        rnic = remote_node.rnic
+        wait = rnic.book_inbound(rnic.inbound_ns(service), wr.opcode)
+        return wait + timing.NIC_RESPONDER_PIPELINE_NS
 
     def _deliver_send(self, remote_node, wr, payload):
         """Land an inbound SEND in the receiver's queue (or SRQ for DCT)."""

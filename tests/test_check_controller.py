@@ -112,6 +112,13 @@ def test_fifo_equivalence_on_randomized_workload():
 
 
 def test_random_strategy_perturbs_and_replays_byte_identically():
+    """Over random walks 0-11, reordering same-timestamp dispatch must
+    reach an observable op in at least half of them (7 of 12 do), and
+    every walk that changes the digest must replay its recorded decisions
+    byte-identically and rerun identically from its seed.  Which walks
+    reach an op is incidental: it moves whenever a hot path gains or
+    loses a same-timestamp event."""
+
     def run(strategy):
         harness = ChaosHarness(11, _smoke_plan(11), ops_per_client=20)
         controller = ScheduleController(strategy)
@@ -120,15 +127,21 @@ def test_random_strategy_perturbs_and_replays_byte_identically():
         return controller, report.digest()
 
     _, fifo_digest = run(FifoStrategy())
-    controller, random_digest = run(RandomWalkStrategy(7))
-    assert controller.decisions, "random walk never deviated from FIFO"
-    assert random_digest != fifo_digest, (
-        "reordering same-timestamp dispatch changed nothing observable"
+    perturbed = 0
+    for walk in range(12):
+        controller, random_digest = run(RandomWalkStrategy(walk))
+        assert controller.decisions, f"random walk {walk} never deviated from FIFO"
+        if random_digest == fifo_digest:
+            continue
+        perturbed += 1
+        _, replay_digest = run(ReplayStrategy(controller.decisions))
+        assert replay_digest == random_digest, f"walk {walk} does not replay"
+        _, again = run(RandomWalkStrategy(walk))
+        assert again == random_digest, f"walk {walk} does not rerun identically"
+    assert perturbed >= 6, (
+        f"reordering same-timestamp dispatch changed the digest in only "
+        f"{perturbed} of 12 random walks"
     )
-    _, replay_digest = run(ReplayStrategy(controller.decisions))
-    assert replay_digest == random_digest
-    _, again = run(RandomWalkStrategy(7))
-    assert again == random_digest
 
 
 def test_controller_records_choice_points():

@@ -54,6 +54,37 @@ def test_rnic_degrade_window():
     assert rnic._degrade_factor == 8.0
 
 
+def _read_service_ns(factor):
+    """Inbound service of one 8 B RC READ on an idle responder whose RNIC
+    is degraded by ``factor`` (1.0 = healthy), read off its trace span."""
+    from repro import obs
+    from repro.cluster import Cluster
+    from repro.sim import Simulator
+    from repro.verbs import WorkRequest
+    from tests.conftest import quick_rc_pair, register
+
+    sim = Simulator()
+    cluster = Cluster(sim, num_nodes=2)
+    client, server = cluster.node(0), cluster.node(1)
+    qp, _ = quick_rc_pair(client, server)
+    laddr, lmr = register(client, 64)
+    raddr, rmr = register(server, 64)
+    if factor != 1.0:
+        server.rnic.set_degraded(10 * timing.US, factor)
+    with obs.observe() as (tracer, _registry):
+        qp.post_send(WorkRequest.read(laddr, 8, lmr.lkey, raddr, rmr.rkey))
+        sim.run()
+    (begin, end), = tracer.spans("rnic.inbound")
+    return end["ts"] - begin["ts"]
+
+
+def test_rnic_degrade_slows_one_sided_read_service():
+    """A gray-failure window slows READ/WRITE service like every other
+    opcode's: the READ's engine occupancy grows eightfold."""
+    assert _read_service_ns(1.0) == int(timing.READ_RESPONDER_SERVICE_NS)
+    assert _read_service_ns(8.0) == int(timing.READ_RESPONDER_SERVICE_NS * 8.0)
+
+
 def test_random_gray_plans_are_gray_and_seeded():
     gids = ["node0", "node1"]
     plan = FaultPlan.random_gray(3, gids, 4 * timing.MS, meta_shards=2)

@@ -6,20 +6,22 @@ dispatches is a noise-free regression gate.  Each count is the whole
 life of the operation on an otherwise idle simulator, completion
 included.
 
-Counts before and after the callback-driven NIC issue (no per-QP sender
-process or send-queue Store, the flight started in the issue callback,
-the response's wire time and RX cost fused into one delay, an idle
-inbound engine taken with ``Resource.try_acquire``, kernel messages
-applied inline by the daemon):
+Counts at three points: before the callback-driven NIC issue; after it
+(no per-QP sender process or send-queue Store, the flight started in
+the issue callback, the response's wire time and RX cost fused into one
+delay, kernel messages applied inline by the daemon); and with the
+inbound engine booked in closed form (``Rnic.book_inbound``: the
+responder's service and pipeline latency are one delay, with no grant
+event, service timer or release):
 
-=========================  ======  =====
-operation                  before  after
-=========================  ======  =====
-RC READ                        15      9
-DC READ (retargets)            17      9
-16-WR doorbell batch          240    144
-``publish_mr`` kernel msg      26     16
-=========================  ======  =====
+=========================  ======  ========  ======
+operation                  before  callback  booked
+=========================  ======  ========  ======
+RC READ                        15         9       7
+DC READ (retargets)            17         9       7
+16-WR doorbell batch          240       144     112
+``publish_mr`` kernel msg      26        16      13
+=========================  ======  ========  ======
 
 Both event cores count the same.
 """
@@ -56,7 +58,7 @@ def _rc_setup():
 
 def test_rc_read_hops():
     sim, qp, read = _rc_setup()
-    assert _dispatched(sim, lambda: qp.post_send(read())) == 9
+    assert _dispatched(sim, lambda: qp.post_send(read())) == 7
 
 
 def test_dc_read_hops():
@@ -71,14 +73,14 @@ def test_dc_read_hops():
         laddr, 8, lmr.lkey, raddr, rmr.rkey,
         dct_gid=server.gid, dct_number=target.number, dct_key=target.key,
     )
-    assert _dispatched(sim, lambda: qp.post_send(wr)) == 9
+    assert _dispatched(sim, lambda: qp.post_send(wr)) == 7
     assert qp.stats_reconnects == 1
 
 
 def test_doorbell_batch_hops():
     sim, qp, read = _rc_setup()
     batch = [read(signaled=index == 15) for index in range(16)]
-    assert _dispatched(sim, lambda: qp.post_send_batch(batch)) == 144
+    assert _dispatched(sim, lambda: qp.post_send_batch(batch)) == 112
 
 
 def test_publish_mr_kernel_message_hops():
@@ -92,5 +94,5 @@ def test_publish_mr_kernel_message_hops():
     def send():
         sim.process(sender.send_kernel_msg(meta_node.gid, header))
 
-    assert _dispatched(sim, send) == 16
+    assert _dispatched(sim, send) == 13
     assert meta.store.get_local(mr_key(sender.node.gid, 99)) is not None

@@ -115,48 +115,6 @@ def test_resource_usage_counters(sim):
     assert observed == [(1, 1)]
 
 
-def test_try_acquire_grants_a_free_unit_at_once(sim):
-    resource = Resource(sim, capacity=2)
-    grant = resource.try_acquire()
-    assert grant is not None and resource.in_use == 1
-    resource.release(grant)
-    assert resource.in_use == 0
-
-
-def test_try_acquire_returns_none_when_busy_or_waited_on(sim):
-    resource = Resource(sim, capacity=1)
-    held = resource.try_acquire()
-    assert resource.try_acquire() is None  # busy
-    waiter = resource.acquire()  # parks: the unit is taken
-    assert resource.queue_length == 1
-    assert resource.try_acquire() is None  # busy, with a waiter
-    resource.release(held)  # hands the unit to the waiter
-    assert resource.in_use == 1 and resource.queue_length == 0
-    assert resource.try_acquire() is None
-    resource.release(waiter.value)
-    assert resource.try_acquire() is not None
-
-
-def test_try_acquire_keeps_fifo_grant_order(sim):
-    """Processes mixing try_acquire and acquire are served strictly in
-    the order they asked, exactly as with acquire alone."""
-    resource = Resource(sim, capacity=1)
-    starts = []
-
-    def worker(tag):
-        grant = resource.try_acquire()
-        if grant is None:
-            grant = yield resource.acquire()
-        starts.append((tag, sim.now))
-        yield 100
-        resource.release(grant)
-
-    for tag in ("a", "b", "c"):
-        sim.process(worker(tag))
-    sim.run()
-    assert starts == [("a", 0), ("b", 100), ("c", 200)]
-
-
 def test_interrupted_holder_still_releases(sim):
     resource = Resource(sim, capacity=1)
 
